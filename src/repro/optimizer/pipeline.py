@@ -240,8 +240,7 @@ def _optimize_query(
             # verdict, because non-nice trees are NOT interchangeable
             # and the written order must stand.  The cached join tree /
             # WCOJ spec records the strategy *decision*; whether it is
-            # taken is re-checked against the live fast-path switches,
-            # mirroring HashJoin's execution-time parallel dispatch.
+            # taken is re-checked against the live fast-path switches.
             verdict, chosen, join_tree, wcoj_spec = hit
             result.verdict = verdict
             result.cache_hit = True
@@ -389,10 +388,7 @@ def optimize_and_run(
     fast paths were on.
 
     A "dp" strategy falls through to :func:`repro.engine.executor.execute`,
-    which consults the process-shard dispatch (``REPRO_SHARD``, default
-    off) before planning the tree — so sharded execution needs no
-    optimizer involvement here, and with the switch off this path is
-    byte-identical to a build without the shard machinery.
+    which plans and runs the chosen tree.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache

@@ -14,37 +14,20 @@ queue, blow their deadline, or get shed — exactly the regime a saturated
 service lives in, and the one closed-loop harnesses famously understate
 (coordinated omission).
 
-Two sections, one claim each:
+The ``open_loop`` section is an arrival-rate sweep over a Zipf-skewed
+query mix on a join-chain topology, served by the thread-pool service
+(rows carry ``mode: "threaded"``).  Per rate: p50/p99 sojourn latency
+(queue wait + execution, measured inside the service, so collection
+order cannot skew it), achieved throughput, and the deadline/shed
+accounting.  The headline is the *saturation throughput* — the best
+achieved ok-rate across the sweep.
 
-* ``open_loop`` — an arrival-rate sweep over a Zipf-skewed query mix on
-  a join-chain topology, run twice per rate: ``threaded`` (the stock
-  thread-pool service) and ``sharded`` (``shard=True``: co-partitioned
-  hash joins across worker processes).  Per rate: p50/p99 sojourn
-  latency (queue wait + execution, measured inside the service, so
-  collection order cannot skew it), achieved throughput, and the
-  deadline/shed accounting.  The headline is the per-mode *saturation
-  throughput* — the best achieved ok-rate across the sweep.
-* ``speedup`` — a closed-loop **paired drill** on a heavier instance of
-  the same mix: both services stay alive and warm, and each round runs
-  the identical batch through the threaded service and then the sharded
-  one, back to back.  The per-round ratio cancels slow host drift
-  (thermal state, neighbours on a shared box) that would otherwise
-  swamp a single long A-then-B measurement, and the reported speedup is
-  the **median of the per-round ratios** — robust to one unlucky round.
-  Worker processes sidestep the GIL and co-partitioned shards keep each
-  worker's hash tables small, so the acceptance bar is ``speedup > 1``
-  at >= 2 worker processes (``--min-speedup``, default 1.0).
-
-Determinism: every knob is explicit.  Service workers, shard workers,
-and shard counts are constants or flags — never ``os.cpu_count()`` —
-and every random draw (topology sampling, Zipf popularity, Poisson
-interarrivals) threads through ``--bench-seed``, so two runs on
-different hosts offer the identical query sequence at the identical
-scheduled instants.  Wall-clock *measurements* naturally vary; the
-workload does not.  For the most stable drill ratios also pin
-``PYTHONHASHSEED=0`` in the environment (the CI job does): hash-table
-iteration order then matches run to run, removing one more source of
-timing variance.
+Determinism: every knob is explicit.  The service worker count is a
+constant — never ``os.cpu_count()`` — and every random draw (topology
+sampling, Zipf popularity, Poisson interarrivals) threads through
+``--bench-seed``, so two runs on different hosts offer the identical
+query sequence at the identical scheduled instants.  Wall-clock
+*measurements* naturally vary; the workload does not.
 """
 
 from __future__ import annotations
@@ -55,7 +38,6 @@ import platform
 import sys
 import time
 from itertools import permutations
-from statistics import median
 from pathlib import Path
 from time import monotonic
 from typing import Any, Dict, List, Optional, Sequence
@@ -76,11 +58,9 @@ ARRIVAL_RATES = (4.0, 8.0, 16.0, 32.0)
 #: CI-sized sweep used by ``--smoke``.
 SMOKE_RATES = (4.0, 12.0)
 
-#: Service thread count and shard worker-process count for every run.
-#: Pinned (never ``os.cpu_count()``) so artifacts are comparable; 2 is
-#: the floor at which the sharded path is allowed to claim a win.
+#: Service thread count for every run.  Pinned (never
+#: ``os.cpu_count()``) so artifacts are comparable.
 SERVICE_WORKERS = 2
-SHARD_WORKERS = 2
 
 #: Zipf exponent for query-shape popularity: shape k is drawn with
 #: weight ``1/(k+1)**SHAPE_SKEW`` — a few hot shapes, a long cold tail.
@@ -95,25 +75,10 @@ DOMAIN_DIVISOR = 3
 #: ARRIVAL_RATES actually bracket the service's capacity.
 SWEEP_RELATIONS = 4
 
-#: Chain length for the speedup drill.  The 5-relation permutation
-#: chain cuts output to ~1/120 of the candidate pairs, so queries are
-#: join-heavy (where sharding helps) but results are tiny (so shipping
-#: them back across the pipe costs nothing).
-DRILL_RELATIONS = 5
-
-#: Distinct query shapes in the drill mix.
-DRILL_SHAPES = 4
-
-#: Queries per measured round in the paired drill.
-DRILL_BATCH = 8
-
-
 def build_scenario(relations: int = 5) -> GraphScenario:
     """The traffic topology: an all-join chain (the CPU-bound mix).
 
-    Every edge is an equijoin on the nodes' ``.a`` attributes, so every
-    sampled implementing tree is co-partitionable on one attribute class
-    and the sharded service can distribute each query.
+    Every edge is an equijoin on the nodes' ``.a`` attributes.
     """
     return chain(relations, ["join"] * (relations - 1), name=f"trafficgen-chain{relations}")
 
@@ -179,23 +144,6 @@ def percentile(samples: Sequence[float], q: float) -> Optional[float]:
     ordered = sorted(samples)
     index = min(int(q * len(ordered)), len(ordered) - 1)
     return ordered[index]
-
-
-def make_service(storage: Storage, sharded: bool, queue_size: int) -> QueryService:
-    """A service in one of the two benchmarked configurations.
-
-    Both modes get the same thread count and queue; the sharded one
-    additionally owns a pinned-size process pool.  ``shard=False`` is
-    forced (not left to ``REPRO_SHARD``) so the threaded baseline is the
-    baseline regardless of the ambient environment.
-    """
-    return QueryService(
-        storage,
-        workers=SERVICE_WORKERS,
-        queue_size=queue_size,
-        shard=sharded,
-        shard_workers=SHARD_WORKERS if sharded else None,
-    )
 
 
 def open_loop_run(
@@ -265,38 +213,34 @@ def sweep(
     seed: int,
     out,
 ) -> Dict[str, Any]:
-    """The arrival-rate sweep, threaded and sharded, plus saturation."""
+    """The arrival-rate sweep plus saturation throughput."""
     weights = zipf_weights(len(workload))
     rows: List[Dict[str, Any]] = []
-    for mode in ("threaded", "sharded"):
-        for rate in rates:
-            service = make_service(
-                storage, sharded=(mode == "sharded"), queue_size=max(queries_per_rate // 2, 8)
+    for rate in rates:
+        with QueryService(
+            storage, workers=SERVICE_WORKERS, queue_size=max(queries_per_rate // 2, 8)
+        ) as service:
+            row = open_loop_run(
+                service,
+                workload,
+                weights,
+                rate_qps=rate,
+                queries=queries_per_rate,
+                deadline_s=deadline_s,
+                seed=seed,  # same seed per rate: identical offered traffic
             )
-            with service:
-                row = open_loop_run(
-                    service,
-                    workload,
-                    weights,
-                    rate_qps=rate,
-                    queries=queries_per_rate,
-                    deadline_s=deadline_s,
-                    seed=seed,  # same seed per rate: identical offered traffic
-                )
-            row["mode"] = mode
-            rows.append(row)
-            print(
-                f"  {mode} @ {rate} q/s: achieved {row['achieved_qps']} q/s, "
-                f"p50 {row['p50_ms']} ms, p99 {row['p99_ms']} ms, "
-                f"ok/shed/timeout {row['ok']}/{row['shed']}/{row['timeout']}",
-                file=out,
-            )
-    saturation = {
-        mode: max(
-            (r["achieved_qps"] for r in rows if r["mode"] == mode and r["achieved_qps"]),
-            default=None,
+        row["mode"] = "threaded"
+        rows.append(row)
+        print(
+            f"  {rate} q/s: achieved {row['achieved_qps']} q/s, "
+            f"p50 {row['p50_ms']} ms, p99 {row['p99_ms']} ms, "
+            f"ok/shed/timeout {row['ok']}/{row['shed']}/{row['timeout']}",
+            file=out,
         )
-        for mode in ("threaded", "sharded")
+    saturation = {
+        "threaded": max(
+            (r["achieved_qps"] for r in rows if r["achieved_qps"]), default=None
+        )
     }
     return {
         "deadline_s": deadline_s,
@@ -307,83 +251,6 @@ def sweep(
     }
 
 
-def speedup_drill(
-    storage: Storage, workload: Sequence[Expression], rounds: int, out
-) -> Dict[str, Any]:
-    """Paired closed-loop drill: threaded vs sharded, interleaved rounds.
-
-    Both services come up together and both first serve the whole
-    workload once (warmup: plan cache, and — for the sharded service —
-    worker-resident shard partitions).  Then each round pushes the same
-    :data:`DRILL_BATCH`-query batch through the threaded service and
-    the sharded one back to back, and records the ratio.  Interleaving
-    means any slow drift in host performance hits both sides of every
-    ratio; the median across rounds discards the odd round where a
-    background process landed on one side only.  The claim under test:
-    at the same explicit worker count, worker *processes* beat worker
-    *threads* on a CPU-bound join mix because they do not share a GIL
-    and each works a cache-friendlier shard-sized table.
-    """
-    batch = [workload[i % len(workload)] for i in range(DRILL_BATCH)]
-    services = {
-        mode: make_service(
-            storage,
-            sharded=(mode == "sharded"),
-            queue_size=max(DRILL_BATCH, len(workload)),
-        )
-        for mode in ("threaded", "sharded")
-    }
-    totals = {mode: {"ok": 0, "queries": 0, "elapsed_s": 0.0} for mode in services}
-    round_rows: List[Dict[str, Any]] = []
-    with services["threaded"], services["sharded"]:
-        for service in services.values():
-            for ticket in service.submit_batch(list(workload)):
-                ticket.result(timeout=600)
-        for index in range(rounds):
-            times: Dict[str, float] = {}
-            for mode, service in services.items():
-                start = monotonic()
-                tickets = service.submit_batch(batch)
-                outcomes = [ticket.result(timeout=600) for ticket in tickets]
-                times[mode] = monotonic() - start
-                totals[mode]["ok"] += sum(1 for o in outcomes if o.ok)
-                totals[mode]["queries"] += len(outcomes)
-                totals[mode]["elapsed_s"] += times[mode]
-            ratio = times["threaded"] / times["sharded"] if times["sharded"] else None
-            round_rows.append(
-                {
-                    "threaded_s": round(times["threaded"], 4),
-                    "sharded_s": round(times["sharded"], 4),
-                    "speedup": round(ratio, 3) if ratio is not None else None,
-                }
-            )
-            print(
-                f"  round {index}: threaded {times['threaded']:.3f} s, "
-                f"sharded {times['sharded']:.3f} s, speedup "
-                f"{round_rows[-1]['speedup']}x",
-                file=out,
-            )
-    results: Dict[str, Any] = {
-        "queries": DRILL_BATCH * rounds,
-        "batch_size": DRILL_BATCH,
-        "shard_workers": SHARD_WORKERS,
-        "rounds": round_rows,
-    }
-    for mode, total in totals.items():
-        elapsed = total["elapsed_s"]
-        results[mode] = {
-            "ok": total["ok"],
-            "queries": total["queries"],
-            "elapsed_s": round(elapsed, 4),
-            "qps": round(total["queries"] / elapsed, 2) if elapsed else None,
-        }
-    ratios = [row["speedup"] for row in round_rows if row["speedup"] is not None]
-    results["speedup"] = round(median(ratios), 3) if ratios else None
-    results["speedup_min"] = round(min(ratios), 3) if ratios else None
-    results["speedup_max"] = round(max(ratios), 3) if ratios else None
-    return results
-
-
 def run(
     out_path: Optional[str],
     smoke: bool = False,
@@ -391,15 +258,10 @@ def run(
     out=sys.stdout,
 ) -> Dict[str, Any]:
     # Sweep sizing: per-query cost in the tens of milliseconds so the
-    # fixed ARRIVAL_RATES span under- and over-saturation.  Drill
-    # sizing: large tables so per-worker shards fit caches the whole
-    # table does not — that superlinearity is what worker processes
-    # harvest on top of GIL-free execution.
+    # fixed ARRIVAL_RATES span under- and over-saturation.
     sweep_shapes = 4 if smoke else 8
     sweep_rows = 800 if smoke else 3000
     queries_per_rate = 24 if smoke else 80
-    drill_rows = 8000 if smoke else 10000
-    drill_rounds = 3 if smoke else 5
     deadline_s = 10.0
     rates = SMOKE_RATES if smoke else ARRIVAL_RATES
 
@@ -417,11 +279,7 @@ def run(
             "sweep_scenario": sweep_scenario.name,
             "sweep_rows_per_table": sweep_rows,
             "sweep_shapes": sweep_shapes,
-            "drill_scenario": f"trafficgen-chain{DRILL_RELATIONS}",
-            "drill_rows_per_table": drill_rows,
-            "drill_shapes": DRILL_SHAPES,
             "service_workers": SERVICE_WORKERS,
-            "shard_workers": SHARD_WORKERS,
             "worker_sizing": "explicit",
         }
     }
@@ -445,20 +303,6 @@ def run(
         file=out,
     )
 
-    drill_scenario = build_scenario(DRILL_RELATIONS)
-    drill_storage = build_storage(drill_scenario, rows=drill_rows, seed=seed + 1)
-    drill_workload = build_workload(drill_scenario, shapes=DRILL_SHAPES, seed=seed + 2)
-    print(
-        f"[trafficgen] speedup drill: {drill_rounds} paired rounds of "
-        f"{DRILL_BATCH} queries at {drill_rows} rows/table, "
-        f"{SERVICE_WORKERS} threads vs {SHARD_WORKERS} worker processes",
-        file=out,
-    )
-    report["speedup"] = speedup_drill(
-        drill_storage, drill_workload, rounds=drill_rounds, out=out
-    )
-    print(f"  median speedup {report['speedup']['speedup']}x", file=out)
-
     from repro.tools.benchschema import validate_trafficgen_report
 
     validate_trafficgen_report(report)
@@ -471,7 +315,7 @@ def run(
     return report
 
 
-def verify(report: Dict[str, Any], min_speedup: float = 1.0) -> List[str]:
+def verify(report: Dict[str, Any]) -> List[str]:
     """Acceptance checks over a report; returns a list of violations."""
     problems: List[str] = []
     open_loop = report.get("open_loop", {})
@@ -489,23 +333,8 @@ def verify(report: Dict[str, Any], min_speedup: float = 1.0) -> List[str]:
             problems.append(
                 f"open_loop {row['mode']} @ {row['offered_qps']} q/s: missing percentiles"
             )
-    for mode in ("threaded", "sharded"):
-        if open_loop.get("saturation_qps", {}).get(mode) is None:
-            problems.append(f"no saturation throughput for mode {mode!r}")
-    drill = report.get("speedup", {})
-    if not drill.get("rounds"):
-        problems.append("speedup drill recorded no rounds")
-    for mode in ("threaded", "sharded"):
-        side = drill.get(mode, {})
-        if side.get("ok") != side.get("queries"):
-            problems.append(f"speedup drill {mode}: non-ok outcomes")
-    speedup = drill.get("speedup")
-    if drill.get("shard_workers", 0) < 2:
-        problems.append("speedup drill must run with >= 2 worker processes")
-    if speedup is None or speedup < min_speedup:
-        problems.append(
-            f"sharded/threaded median speedup {speedup} < required {min_speedup}x"
-        )
+    if open_loop.get("saturation_qps", {}).get("threaded") is None:
+        problems.append("no saturation throughput")
     return problems
 
 
@@ -523,19 +352,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="seed for topology sampling, Zipf popularity, and Poisson arrivals",
     )
     parser.add_argument("--smoke", action="store_true", help="small sizes for CI")
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.0,
-        help="fail unless the median sharded/threaded speedup reaches this (default 1.0)",
-    )
     args = parser.parse_args(argv)
     report = run(
         None if args.no_out else args.out,
         smoke=args.smoke,
         seed=args.bench_seed,
     )
-    problems = verify(report, min_speedup=args.min_speedup)
+    problems = verify(report)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     return 1 if problems else 0

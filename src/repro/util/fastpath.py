@@ -23,17 +23,6 @@ _enabled: bool = os.environ.get("REPRO_NAIVE_KERNELS", "").lower() not in (
     "yes",
 )
 
-#: Parallel execution is opt-in: ``REPRO_PARALLEL=1`` (or truthy) turns
-#: on the morsel-driven partitioned join path in
-#: :mod:`repro.engine.parallel`.  The switch lives here, not in the
-#: engine, so the algebra operators can consult it without an import
-#: cycle — the engine already imports the algebra.
-_parallel: bool = os.environ.get("REPRO_PARALLEL", "").lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
 #: Vectorized batch execution is opt-out: ``REPRO_BATCH=0`` falls back to
 #: the row-at-a-time iterators.  Default on — the batch kernels are
 #: bag-identical (indeed sequence-identical) to the row path, so the
@@ -57,18 +46,6 @@ _yannakakis: bool = os.environ.get("REPRO_YANNAKAKIS", "").lower() not in (
     "no",
 )
 
-#: Process-sharded execution is opt-in: ``REPRO_SHARD=1`` (or truthy)
-#: turns on the multiprocessing dispatch in :mod:`repro.engine.shard`
-#: (tables hash-sharded on a join-key attribute class across a pool of
-#: worker processes).  Default off — with the switch off the dispatch is
-#: never consulted, so the threaded path is byte-identical to a build
-#: without the shard module.
-_shard: bool = os.environ.get("REPRO_SHARD", "").lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
 #: The cyclic fast path (sorted tries + Leapfrog Triejoin) is opt-out:
 #: ``REPRO_WCOJ=0`` pins cyclic join cores to the binary-tree DP plans.
 #: Default on — the optimizer only dispatches to the worst-case optimal
@@ -83,31 +60,17 @@ _wcoj: bool = os.environ.get("REPRO_WCOJ", "").lower() not in (
 )
 
 
-def _env_batch_size() -> int:
-    raw = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if not raw:
-        return 1024
-    try:
-        size = int(raw)
-    except ValueError:
-        return 1024
-    return size if size >= 1 else 1024
-
-
 #: Rows per :class:`~repro.engine.batch.ColumnBatch` pulled from a scan or
 #: produced by the row->batch shim.  Operators may emit larger batches
 #: (a join's output batch follows its probe batch's match multiplicity).
-_batch_size: int = _env_batch_size()
+_batch_size: int = 1024
 
-#: Thread-local overrides pushed by :func:`parallel_mode` /
-#: :func:`batch_mode`.  Scoping the *temporary* switch per thread lets
-#: each QueryService worker force a mode for its own query without racing
-#: other threads' restores (the process-wide default stays whatever the
-#: env / :func:`set_parallel` / :func:`set_batch` said).
+#: Thread-local overrides pushed by :func:`batch_mode` & co.  Scoping the
+#: *temporary* switch per thread lets one thread force a mode for its own
+#: query without racing other threads' restores (the process-wide default
+#: stays whatever the env / :func:`set_batch` said).
 import threading as _threading
 
-_parallel_tls = _threading.local()
-_shard_tls = _threading.local()
 _batch_tls = _threading.local()
 _yannakakis_tls = _threading.local()
 _wcoj_tls = _threading.local()
@@ -116,73 +79,6 @@ _wcoj_tls = _threading.local()
 def fast_enabled() -> bool:
     """Is the fast-kernel dispatch currently on?"""
     return _enabled
-
-
-def parallel_enabled() -> bool:
-    """Is the morsel-driven parallel join dispatch currently on?
-
-    The innermost :func:`parallel_mode` override on *this thread* wins;
-    otherwise the process-wide default applies.
-    """
-    stack = getattr(_parallel_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _parallel
-
-
-def set_parallel(enabled: bool) -> bool:
-    """Set the process-wide parallel default; returns the previous one."""
-    global _parallel
-    previous = _parallel
-    _parallel = bool(enabled)
-    return previous
-
-
-@contextmanager
-def parallel_mode(enabled: bool):
-    """Force the parallel path on (True) or off (False) for this thread."""
-    stack = getattr(_parallel_tls, "stack", None)
-    if stack is None:
-        stack = _parallel_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def shard_enabled() -> bool:
-    """Is the process-sharded execution dispatch currently on?
-
-    The innermost :func:`shard_mode` override on *this thread* wins;
-    otherwise the process-wide default (``REPRO_SHARD``, default off)
-    applies.
-    """
-    stack = getattr(_shard_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _shard
-
-
-def set_shard(enabled: bool) -> bool:
-    """Set the process-wide shard default; returns the previous one."""
-    global _shard
-    previous = _shard
-    _shard = bool(enabled)
-    return previous
-
-
-@contextmanager
-def shard_mode(enabled: bool):
-    """Force sharded execution on (True) or off (False) for this thread."""
-    stack = getattr(_shard_tls, "stack", None)
-    if stack is None:
-        stack = _shard_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
 
 
 def batch_enabled() -> bool:
@@ -288,7 +184,7 @@ def wcoj_mode(enabled: bool):
 
 
 def batch_size() -> int:
-    """The configured rows-per-batch (``REPRO_BATCH_SIZE``, default 1024)."""
+    """The configured rows-per-batch (default 1024)."""
     return _batch_size
 
 

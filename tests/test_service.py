@@ -119,6 +119,35 @@ def test_close_drains_queued_queries_then_rejects_new_ones(storage):
     service.close()  # idempotent
 
 
+def test_close_during_submit_resolves_rejected(storage, monkeypatch):
+    """A close() landing between submit's closed check and its enqueue
+    must shed the ticket, not strand it behind the shutdown sentinels."""
+    service = QueryService(storage, workers=2)
+    real_bump = instrumentation.bump
+
+    def bump_then_close(key, count=1):
+        real_bump(key, count)
+        if key == "service_queries":
+            service.close()
+
+    monkeypatch.setattr(instrumentation, "bump", bump_then_close)
+    outcome = service.submit(query()).result(timeout=2)
+    assert outcome.status == "rejected"
+    with pytest.raises(ServiceClosedError):
+        outcome.require()
+    assert service.snapshot()["outcomes"] == {
+        status: int(status == "rejected") for status in STATUSES
+    }
+
+
+def test_starts_exactly_the_requested_worker_threads(storage):
+    before = threading.active_count()
+    with QueryService(storage, workers=20) as service:
+        assert service.snapshot()["workers"] == 20
+        assert threading.active_count() - before == 20
+    assert threading.active_count() == before
+
+
 def test_result_wait_timeout_is_independent_of_query_deadline(storage):
     with QueryService(storage, workers=1) as service:
         ticket = service.submit(query())
