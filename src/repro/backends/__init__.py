@@ -18,9 +18,9 @@ mere federation shim:
   queries over unchanged data pay zero transfer cost;
 * **join-order hinting** — :func:`repro.backends.hints.hinted_sql`
   renders a physical tree as explicitly nested/parenthesized JOIN SQL
-  that the backend's own optimizer must respect, so our DP/Yannakakis
-  dispatch decisions can be A/B-measured against the backend's native
-  planner on identical data.
+  that the backend's own optimizer must respect, so our DP join-order
+  decisions can be A/B-measured against the backend's native planner on
+  identical data.
 """
 
 from repro.backends.base import (

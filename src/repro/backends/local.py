@@ -2,12 +2,13 @@
 
 ``LocalBackend`` is the identity element of the backend family: ``sync``
 just adopts the storage reference (no copy — the engine already owns the
-data), a *hinted* execution runs the given physical tree verbatim through
-the planner/executor, and a *native* execution runs the full optimizer
-pipeline.  It exists so routers can treat every destination uniformly;
-the service's default ``local`` route intentionally bypasses this class
-entirely and calls the pipeline directly, keeping the pre-backend code
-path byte-identical (proven by a subprocess test).
+data), a *hinted* execution runs the given tree verbatim through the
+planner/executor, and a *native* execution runs the full optimizer
+pipeline through :func:`~repro.optimizer.pipeline.optimize_and_run`, so
+it executes the strategy the optimizer chose.  It exists so routers can
+treat every destination uniformly; the service's default ``local`` route
+does not go through this class but reaches the same
+:func:`repro.engine.executor.execute` dispatch directly.
 """
 
 from __future__ import annotations

@@ -20,15 +20,6 @@ tier                    route
                         boundaries; the plain ``engine`` tier pins batch
                         execution OFF so the row-at-a-time path remains
                         an independent baseline
-``"yannakakis"``        the acyclic fast path: every maximal
-                        join/outerjoin subtree runs as a GYO join tree
-                        through the full semijoin reducer
-                        (:mod:`repro.engine.yannakakis`); wrapper
-                        operators (restrict/project/union/FOJ/semi/
-                        anti/GOJ) evaluate via the algebra layer.
-                        Declines (skips) when a core subtree has no
-                        safe join tree — cyclic class hypergraph, or an
-                        outerjoin graph outside Theorem 1
 ``"wcoj"``              the cyclic fast path: every maximal *pure-join*
                         subtree with a genuinely cyclic class
                         hypergraph runs as a Leapfrog Triejoin over
@@ -36,7 +27,7 @@ tier                    route
                         wrapper/outerjoin operators evaluate via the
                         algebra layer on the recursed children.
                         Declines (skips) when no core is cyclic —
-                        acyclic graphs belong to Yannakakis/DP, and
+                        acyclic graphs belong to the DP, and
                         outerjoins never enter a cyclic core
 ``"backend:sqlite"``    join-order *hinting* through the persistent
                         :mod:`repro.backends` SQLite backend: every
@@ -83,7 +74,6 @@ EXECUTOR_TIERS: Tuple[str, ...] = (
     "engine-merge",
     "sqlite",
     "batch",
-    "yannakakis",
     "wcoj",
     "backend:sqlite",
     "backend:duckdb",
@@ -93,7 +83,7 @@ _ENGINE_TIERS = frozenset({"engine", "engine-merge", "batch"})
 
 #: Tiers that evaluate through :class:`~repro.engine.storage.Storage`
 #: (and hence benefit from a shared instance across many checks).
-_STORAGE_TIERS = _ENGINE_TIERS | {"yannakakis", "wcoj"}
+_STORAGE_TIERS = _ENGINE_TIERS | {"wcoj"}
 
 
 def supported_executors(
@@ -168,12 +158,6 @@ def run_executor(
             return oracle.evaluate(expr)
         with SQLiteOracle(db) as own:
             return own.evaluate(expr)
-    if name == "yannakakis":
-        from repro.engine.storage import Storage
-
-        if storage is None:
-            storage = Storage.from_database(db)
-        return _run_yannakakis(expr, db, storage)
     if name == "wcoj":
         from repro.engine.storage import Storage
 
@@ -317,61 +301,16 @@ def _run_backend_tier(backend_name: str, expr: Expression, db: Database) -> Rela
     return relation
 
 
-def _run_yannakakis(expr: Expression, db: Database, storage) -> Relation:
-    """Evaluate with every maximal join core on the acyclic fast path.
-
-    A *core* subtree is a pure tree of Rel/Join/LeftOuterJoin/
-    RightOuterJoin — exactly the fragment :func:`~repro.core.graph.graph_of`
-    abstracts into a query graph.  Each maximal core runs as a GYO join
-    tree through :class:`~repro.engine.yannakakis.YannakakisOp` (under the
-    ambient batch mode, so the CI matrix covers both row and columnar
-    reducers); wrapper and extended operators evaluate via the algebra
-    layer on the recursed children.  Raises :class:`PlanningError` — a
-    cross-check *skip* — when no core yields a safe join tree, so the
-    tier never silently duplicates the algebra tier.
-    """
-    from repro.core.expressions import Join, LeftOuterJoin, Rel, RightOuterJoin
-    from repro.core.graph import graph_of
-    from repro.core.gyo import join_tree_of
-    from repro.engine.executor import execute_plan
-    from repro.engine.yannakakis import build_yannakakis_plan
-
-    registry = storage.registry
-    took_fast_path = [False]
-
-    def is_core(node: Expression) -> bool:
-        if isinstance(node, Rel):
-            return True
-        if isinstance(node, (Join, LeftOuterJoin, RightOuterJoin)):
-            return is_core(node.left) and is_core(node.right)
-        return False
-
-    def run_core(node: Expression) -> Relation:
-        graph = graph_of(node, registry)
-        tree = join_tree_of(graph, registry)
-        if tree is None:
-            raise PlanningError(
-                f"yannakakis tier declines: no safe join tree for {node!r}"
-            )
-        took_fast_path[0] = True
-        return execute_plan(build_yannakakis_plan(tree, storage, {})).relation
-
-    relation = _recurse_with_cores("yannakakis", expr, db, is_core, run_core)
-    if not took_fast_path[0]:
-        raise PlanningError("yannakakis tier declines: no multi-relation join core")
-    return relation
-
-
 def _run_wcoj(expr: Expression, db: Database, storage) -> Relation:
     """Evaluate with every maximal cyclic join core on the WCOJ fast path.
 
     A *core* here is a pure tree of Rel/Join — outerjoins never enter a
     cyclic core (Theorem 1 certifies reordering them only on the
-    implementing-tree side), so unlike the yannakakis tier they are
-    handled as wrappers via the algebra layer.  Each maximal core whose
-    attribute-class hypergraph is genuinely cyclic runs as a Leapfrog
-    Triejoin over sorted tries (under the ambient batch mode, so the CI
-    matrix covers both output paths).  Raises :class:`PlanningError` — a
+    implementing-tree side), so they are handled as wrappers via the
+    algebra layer.  Each maximal core whose attribute-class hypergraph
+    is genuinely cyclic runs as a Leapfrog Triejoin over sorted tries
+    (under the ambient batch mode, so the CI matrix covers both output
+    paths).  Raises :class:`PlanningError` — a
     cross-check *skip* — when no core is WCOJ-eligible, so the tier
     never silently duplicates the algebra tier.  Note the existing
     ``cycle``/``random`` fuzz topologies join every edge on ``.a = .a``,

@@ -22,15 +22,18 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, List, Optional
 
+from repro.algebra.predicates import Predicate
 from repro.algebra.relation import Relation
 from repro.algebra.tuples import Row
 from repro.core.expressions import Expression
+from repro.core.wcoj_order import WcojSpec
 from repro.engine.iterators import PhysicalOp, trace_plan, untrace_plan
 from repro.engine.metrics import Metrics
 from repro.engine.planner import Planner
 from repro.engine.storage import Storage
+from repro.engine.wcoj import build_wcoj_plan
 from repro.observability.spans import Span, current_tracer, maybe_span
 from repro.util.cancel import CancelToken
 
@@ -109,9 +112,21 @@ def execute_plan(plan: PhysicalOp, cancel: Optional[CancelToken] = None) -> Exec
 
 
 def execute(
-    expr: Expression, storage: Storage, cancel: Optional[CancelToken] = None
+    expr: Expression,
+    storage: Storage,
+    cancel: Optional[CancelToken] = None,
+    wcoj_spec: Optional[WcojSpec] = None,
+    leaf_filters: Optional[Dict[str, List[Predicate]]] = None,
 ) -> ExecutionResult:
     """Plan and run a logical expression against the storage.
+
+    This is the one place where the optimizer's strategy decision turns
+    into operators.  ``wcoj_spec`` and ``leaf_filters`` are that decision
+    as data — :class:`~repro.optimizer.pipeline.PipelineResult` carries
+    both, and ``QueryService`` and ``optimize_and_run`` pass them
+    through: with a spec, the plan is a Leapfrog Triejoin over the
+    filtered base scans; with ``None``, the planner builds ``expr`` as
+    written.  Either plan drains under ``cancel``.
 
     Planning is reentrant (the planner is stateless over an immutable
     expression) and every execution gets its own plan tree and metrics
@@ -119,7 +134,10 @@ def execute(
     mutable state — the property :mod:`repro.service` builds on.
     """
     with maybe_span("query.plan", category="engine") as span:
-        plan = Planner(storage).plan(expr)
+        if wcoj_spec is None:
+            plan: PhysicalOp = Planner(storage).plan(expr)
+        else:
+            plan = build_wcoj_plan(wcoj_spec, storage, leaf_filters or {})
         if span is not None:
             span.set(plan=plan.span_label())
     return execute_plan(plan, cancel=cancel)

@@ -32,7 +32,6 @@ _DISPATCH = {
     "IndexNestedLoopJoin": "index-kernel",
     "GeneralizedOuterJoinOp": "goj-hash-kernel",
     "NestedLoopJoin": "naive-nested-loop",
-    "YannakakisOp": "semijoin-reducer",
     "LeapfrogTriejoinOp": "leapfrog-triejoin",
 }
 
@@ -45,8 +44,6 @@ _DETAIL_COUNTERS = (
     "build_buckets",
     "mem_rows",
     "batches_out",
-    "reducer_passes",
-    "reducer_dropped",
     "trie_builds",
     "wcoj_seeks",
     "wcoj_ties",

@@ -14,7 +14,10 @@
 5. **Optimize** (Section 6.1): DP over connected subgraphs, with
    cardinalities estimated against the *filtered* relations;
 6. **Execute**: the chosen tree runs on the engine with the pushed
-   filters reattached above the base scans.
+   filters reattached above the base scans — or, when the AGM gate
+   picked the ``wcoj`` strategy, a Leapfrog Triejoin runs over the
+   filtered base scans instead (:func:`repro.engine.executor.execute`
+   turns either decision into operators).
 
 When a restriction stays parked above an outerjoin (a genuinely
 order-sensitive one, e.g. an ``IS NULL`` probe), the pipeline degrades
@@ -30,12 +33,11 @@ from typing import Dict, List, Optional
 from repro.algebra.predicates import Predicate, conjunction
 from repro.core.expressions import Expression, Rel, Restrict
 from repro.core.graph import QueryGraph, graph_of
-from repro.core.gyo import JoinTree, join_tree_of
 from repro.core.pushdown import push_restrictions
 from repro.core.reorderability import ReorderabilityVerdict, theorem1_applies
 from repro.core.simplify import simplify_outerjoins
 from repro.core.wcoj_order import WcojSpec, wcoj_spec_of
-from repro.engine.executor import ExecutionResult, execute, execute_plan
+from repro.engine.executor import ExecutionResult, execute
 from repro.engine.storage import Storage, Table
 from repro.observability.spans import maybe_span
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -43,7 +45,8 @@ from repro.optimizer.cost import CostModel, CoutCostModel, RetrievalCostModel, a
 from repro.optimizer.dp import DPOptimizer
 from repro.optimizer.fingerprint import plan_cache_key
 from repro.optimizer.plancache import PlanCache, active_plan_cache
-from repro.util.fastpath import wcoj_enabled, yannakakis_enabled
+from repro.util.cancel import CancelToken
+from repro.util.fastpath import wcoj_enabled
 
 
 @dataclass
@@ -65,17 +68,14 @@ class PipelineResult:
     fingerprint: Optional[str] = None
     #: True when the chosen plan (or verdict) was replayed from the cache.
     cache_hit: bool = False
-    #: How ``optimize_and_run`` executes: the binary-tree DP plan ("dp"),
-    #: the acyclic semijoin-reduced fast path ("yannakakis"), or the
+    #: How the query executes: the binary-tree DP plan ("dp") or the
     #: cyclic worst-case optimal Leapfrog Triejoin ("wcoj").
     strategy: str = "dp"
-    #: The rooted join tree backing the acyclic fast path (None otherwise).
-    join_tree: Optional[JoinTree] = None
     #: The trie layout + variable order backing the cyclic fast path
     #: (None unless the strategy is "wcoj").
     wcoj_spec: Optional[WcojSpec] = None
     #: Pushed leaf filters (relation -> conjuncts); what
-    #: ``_reattach_filters`` re-applies and the Yannakakis builder scans
+    #: ``_reattach_filters`` re-applies and the Leapfrog builder scans
     #: under.  Empty when the query never reached the graph stage.
     leaf_filters: Dict[str, List[Predicate]] = field(default_factory=dict)
 
@@ -238,19 +238,16 @@ def _optimize_query(
             # freely-reorderable graph the cached entry carries the
             # chosen tree; otherwise only the (graph-determined)
             # verdict, because non-nice trees are NOT interchangeable
-            # and the written order must stand.  The cached join tree /
-            # WCOJ spec records the strategy *decision*; whether it is
-            # taken is re-checked against the live fast-path switches.
-            verdict, chosen, join_tree, wcoj_spec = hit
+            # and the written order must stand.  The cached WCOJ spec
+            # records the strategy *decision*; whether it is taken is
+            # re-checked against the live fast-path switch.
+            verdict, chosen, wcoj_spec = hit
             result.verdict = verdict
             result.cache_hit = True
             if chosen is not None:
                 result.chosen = chosen
                 result.reordered = True
-            if join_tree is not None and yannakakis_enabled():
-                result.join_tree = join_tree
-                result.strategy = "yannakakis"
-            elif wcoj_spec is not None and wcoj_enabled():
+            if wcoj_spec is not None and wcoj_enabled():
                 result.wcoj_spec = wcoj_spec
                 result.strategy = "wcoj"
             return result
@@ -265,7 +262,7 @@ def _optimize_query(
     result.verdict = verdict
     if not verdict.freely_reorderable:
         if cache is not None:
-            cache.store(result.fingerprint, generation, (verdict, None, None, None))
+            cache.store(result.fingerprint, generation, (verdict, None, None))
         return result
 
     stats_view = _filtered_storage(storage, filters)
@@ -280,58 +277,15 @@ def _optimize_query(
     plan = DPOptimizer(graph, model).optimize()
     result.chosen = _reattach_filters(plan.expr, filters)
     result.reordered = True
-    join_tree: Optional[JoinTree] = None
-    if yannakakis_enabled():
-        join_tree = _acyclic_fast_path(graph, registry, estimator, plan.expr)
     wcoj_spec: Optional[WcojSpec] = None
-    if join_tree is None and wcoj_enabled():
+    if wcoj_enabled():
         wcoj_spec = _cyclic_fast_path(graph, registry, estimator, plan.expr)
     if cache is not None:
-        cache.store(
-            result.fingerprint, generation, (verdict, result.chosen, join_tree, wcoj_spec)
-        )
-    if join_tree is not None:
-        result.join_tree = join_tree
-        result.strategy = "yannakakis"
-    elif wcoj_spec is not None:
+        cache.store(result.fingerprint, generation, (verdict, result.chosen, wcoj_spec))
+    if wcoj_spec is not None:
         result.wcoj_spec = wcoj_spec
         result.strategy = "wcoj"
     return result
-
-
-def _acyclic_fast_path(
-    graph: QueryGraph,
-    registry,
-    estimator: CardinalityEstimator,
-    dp_expr: Expression,
-) -> Optional[JoinTree]:
-    """Take the Yannakakis fast path when it is safe *and* cheaper.
-
-    Safety is :func:`~repro.core.gyo.join_tree_of`'s certificate (class
-    hypergraph α-acyclic, every tree edge a real graph edge, outerjoins
-    only under Theorem 1 with a core root and no chords).  The cost test
-    compares C_out of the DP's binary tree against the reducer's bill:
-    roughly three streaming passes over the (filtered) base relations
-    plus the output itself — both measured with the same estimator, so
-    the comparison is apples-to-apples.
-    """
-    with maybe_span("optimizer.yannakakis", category="optimizer") as span:
-        tree = join_tree_of(graph, registry)
-        if tree is None:
-            if span is not None:
-                span.set(acyclic=False, chosen=False)
-            return None
-        with estimator.memo_scope():
-            dp_cost = CoutCostModel(estimator).plan_cost(dp_expr)
-            base_total = sum(estimator.base(n).cardinality for n in tree.order)
-            output = estimator.estimate_expression(dp_expr).cardinality
-        yann_cost = base_total + output
-        chosen = yann_cost < dp_cost
-        if span is not None:
-            span.set(acyclic=True, chosen=chosen)
-            span.counters["dp_cost"] = int(dp_cost)
-            span.counters["yannakakis_cost"] = int(yann_cost)
-        return tree if chosen else None
 
 
 def _cyclic_fast_path(
@@ -350,8 +304,8 @@ def _cyclic_fast_path(
     one pass over the (filtered) base relations to build/drain the tries
     plus the AGM fractional-cover bound on the output — the worst case
     the algorithm is guaranteed never to exceed.  Both sides use the
-    same estimator under one memo scope, so the gate is apples-to-apples
-    with the Yannakakis gate above.
+    same estimator under one memo scope, so the comparison is
+    apples-to-apples.
     """
     with maybe_span("optimizer.wcoj", category="optimizer") as span:
         spec = wcoj_spec_of(graph, registry)
@@ -377,39 +331,23 @@ def optimize_and_run(
     cost_model: str = "retrieval",
     cache: Optional[PlanCache] = None,
     use_cache: bool = True,
+    cancel: Optional[CancelToken] = None,
 ) -> tuple[PipelineResult, ExecutionResult]:
-    """Optimize, execute the chosen plan, return both records.
+    """Optimize, execute the chosen strategy, return both records.
 
-    A "yannakakis" strategy builds the semijoin-reduced N-ary plan from
-    the cached join tree and leaf filters; a "wcoj" strategy builds the
-    Leapfrog Triejoin plan from the cached trie spec.  The switches are
-    re-checked here so ``REPRO_YANNAKAKIS=0`` / ``REPRO_WCOJ=0`` fall
-    back to the DP tree even on plans optimized (or cached) while the
-    fast paths were on.
-
-    A "dp" strategy falls through to :func:`repro.engine.executor.execute`,
-    which plans and runs the chosen tree.
+    The pipeline's decision (its WCOJ spec, or none for the DP tree) goes
+    to :func:`repro.engine.executor.execute` unchanged — the same call
+    ``QueryService`` makes — so what runs is what the optimizer chose,
+    drained under ``cancel``.
     """
     result = optimize_query(
         query, storage, cost_model=cost_model, cache=cache, use_cache=use_cache
     )
-    if (
-        result.strategy == "yannakakis"
-        and result.join_tree is not None
-        and yannakakis_enabled()
-    ):
-        from repro.engine.yannakakis import build_yannakakis_plan
-
-        plan = build_yannakakis_plan(result.join_tree, storage, result.leaf_filters)
-        return result, execute_plan(plan)
-    if (
-        result.strategy == "wcoj"
-        and result.wcoj_spec is not None
-        and wcoj_enabled()
-    ):
-        from repro.engine.wcoj import build_wcoj_plan
-
-        plan = build_wcoj_plan(result.wcoj_spec, storage, result.leaf_filters)
-        return result, execute_plan(plan)
-    execution = execute(result.chosen, storage)
+    execution = execute(
+        result.chosen,
+        storage,
+        cancel=cancel,
+        wcoj_spec=result.wcoj_spec,
+        leaf_filters=result.leaf_filters,
+    )
     return result, execution

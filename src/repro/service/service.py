@@ -2,7 +2,10 @@
 
 :class:`QueryService` turns the single-shot pipeline
 (:func:`repro.optimizer.optimize_query` + :func:`repro.engine.execute`)
-into a serving layer:
+into a serving layer.  It runs the strategy the optimizer chose: the
+pipeline's decision (DP tree or Leapfrog Triejoin) goes to ``execute``
+as data, the same call :func:`repro.optimizer.optimize_and_run` makes,
+so a ``wcoj`` query runs Leapfrog here too.
 
 * **Worker pool** — a fixed set of daemon threads drains a *bounded*
   admission queue.  Everything per-query (plan tree, metrics sink,
@@ -363,7 +366,11 @@ class QueryService:
                     )
                     ticket.token.check()
                     execution = execute(
-                        pipeline.chosen, self.storage, cancel=ticket.token
+                        pipeline.chosen,
+                        self.storage,
+                        cancel=ticket.token,
+                        wcoj_spec=pipeline.wcoj_spec,
+                        leaf_filters=pipeline.leaf_filters,
                     )
                     outcome = QueryOutcome(
                         status="ok",
@@ -427,7 +434,11 @@ class QueryService:
         self.close()
 
     def snapshot(self) -> Dict[str, Any]:
-        """Counters for reports: submissions, per-status outcomes, cache."""
+        """Counters for reports: submissions, per-status outcomes, cache.
+
+        Outcomes and backend routes are read in one critical section, so
+        they describe the same instant.
+        """
         with self._lock:
             out: Dict[str, Any] = {
                 "workers": len(self._workers),
@@ -436,14 +447,13 @@ class QueryService:
                 "submitted": self._submitted,
                 "outcomes": dict(self._outcomes),
                 "closed": self._closed,
-            }
-        with self._lock:
-            out["backends"] = {
-                "default": self.default_backend,
-                "routes": dict(self._route_counts),
-                "instances": {
-                    name: backend.snapshot()
-                    for name, backend in self._backends.items()
+                "backends": {
+                    "default": self.default_backend,
+                    "routes": dict(self._route_counts),
+                    "instances": {
+                        name: backend.snapshot()
+                        for name, backend in self._backends.items()
+                    },
                 },
             }
         if self.plan_cache is not None:

@@ -43,18 +43,6 @@ Modes:
                    and sequence/bag-equality checked untimed.  Written
                    under a ``batch`` report key (the BENCH_PR6
                    artifact's payload).
-* ``--yannakakis-bench`` — additionally measure the acyclic fast path
-                   (:mod:`repro.engine.yannakakis`) against the binary
-                   DP plan on a chain and a star workload built so every
-                   binary join order pays a large dangling intermediate
-                   while the full reducer shrinks the inputs to the
-                   output's support first.  Both cells run the same query
-                   end-to-end through the optimizer (cache disabled),
-                   with the ``REPRO_YANNAKAKIS`` switch selecting the
-                   plan shape; strategies and untimed bag-equality are
-                   asserted before timing.  Written under a
-                   ``yannakakis`` report key (the BENCH_PR7 artifact's
-                   payload).
 * ``--backend-bench`` — additionally measure local engine execution
                    against hinted and native execution on every available
                    SQL backend (:mod:`repro.backends`) over the chain,
@@ -237,10 +225,10 @@ def _headline_table(rng, name: str, keys, payload: str, rows: int, null_fraction
     ``keys`` maps each key column to a half-open ``(lo, hi)`` range sampled
     uniformly; ``payload`` names a row-counter ballast column.  A
     ``null_fraction`` sprinkle of null keys keeps the hash join's null-key
-    skip, the null composite-key drop (Yannakakis), and 3VL comparisons
-    on the measured path of every consumer.  All bench
-    workloads — two-table equi-join, chain, star — are concatenations of
-    these blocks, so their cell/schema plumbing lives in one place.
+    skip and 3VL comparisons on the measured path of every consumer.  All
+    bench workloads — two-table equi-join, chain, star — are
+    concatenations of these blocks, so their cell/schema plumbing lives
+    in one place.
     """
     from repro.algebra.nulls import NULL
 
@@ -374,16 +362,15 @@ def measure_batch(
     }
 
 
-def _yannakakis_workloads(seed: int, smoke: bool):
-    """Acyclic workloads where binary join orders pay, and the reducer wins.
+def _needle_workloads(seed: int, smoke: bool):
+    """Acyclic needle workloads where the binary join order matters.
 
     Both separate the *dangling* keys from the *surviving* keys.  The
     heavy key windows carry massive duplication but are anti-correlated
     across tables, so every binary DP order fans them into a huge
     intermediate that the query's other end then kills entirely; only a
     handful of thinly-planted needle keys (outside the heavy windows)
-    reach the output.  The full reducer semijoin-reduces the heavy rows
-    away in passes linear in the base tables, before any join runs:
+    reach the output:
 
     * ``chain`` (E1 − E2 − E3): E2's halves pair an in-window heavy key
       with a far-range key matching nothing, so either join order
@@ -427,8 +414,7 @@ def _yannakakis_workloads(seed: int, smoke: bool):
 
     # Star: heavy leaf window [0, 100) (~160x duplication at full size),
     # hub far range [1000, 1100) — as narrow as the window, keeping the
-    # hub's per-attribute distinct count low enough for the estimated
-    # hub-leaf join to clear the cost gate's base-scan bill.
+    # hub's per-attribute distinct count low.
     window, far, needles = 100, (1_000, 1_100), (2_000, 2_005)
     leaf_heavy = rows * 8 // 15
     core = 5
@@ -456,78 +442,6 @@ def _yannakakis_workloads(seed: int, smoke: bool):
             query = jn(query, leaf, eq(f"H.{attr}", f"{leaf}.{attr}"))
     workloads.append({"topology": "star", "storage": storage, "query": query, "tables": tables})
     return workloads
-
-
-def measure_yannakakis(
-    seed: int = 0,
-    smoke: bool = False,
-    rounds: int = 3,
-    warmup_rounds: int = 1,
-) -> Dict[str, object]:
-    """End-to-end DP plan vs the semijoin-reduced Yannakakis plan.
-
-    Each workload runs the *same* query through the full optimizer
-    pipeline twice per round — ``REPRO_YANNAKAKIS`` off (binary DP tree)
-    and on (GYO join tree through the full reducer) — interleaved and
-    reduced by min, caching disabled so both cells pay optimization every
-    time.  Before any timing, an untimed pass asserts the strategies
-    actually diverge ("dp" vs "yannakakis") and that the two results are
-    bag-equal; a fast path that silently fell back would otherwise
-    benchmark DP against itself.
-    """
-    from repro.algebra import bag_equal
-    from repro.optimizer.pipeline import optimize_and_run
-    from repro.util.fastpath import yannakakis_mode
-
-    results: List[Dict[str, object]] = []
-    for workload in _yannakakis_workloads(seed, smoke):
-        topology, storage = workload["topology"], workload["storage"]
-        query = workload["query"]
-
-        def run(fast: bool):
-            with yannakakis_mode(fast):
-                result, execution = optimize_and_run(query, storage, use_cache=False)
-            return result, execution.relation
-
-        # Untimed strategy + correctness pass (doubles as warm-up one).
-        pipeline, reduced = run(True)
-        if pipeline.strategy != "yannakakis":
-            raise RuntimeError(
-                f"{topology}: fast path not taken (strategy={pipeline.strategy!r})"
-            )
-        pipeline, baseline = run(False)
-        if pipeline.strategy != "dp":
-            raise RuntimeError(
-                f"{topology}: DP cell not on the DP path (strategy={pipeline.strategy!r})"
-            )
-        if not bag_equal(reduced, baseline):
-            raise RuntimeError(f"{topology}: semijoin-reduced result is not bag-equal to DP")
-
-        for _ in range(max(warmup_rounds - 1, 0)):
-            run(True)
-            run(False)
-
-        raw: Dict[str, List[float]] = {"dp": [], "yannakakis": []}
-        for _ in range(rounds):
-            for cell, fast in (("dp", False), ("yannakakis", True)):
-                start = time.perf_counter()
-                run(fast)
-                raw[cell].append(round(time.perf_counter() - start, 4))
-
-        dp_s, yann_s = min(raw["dp"]), min(raw["yannakakis"])
-        results.append(
-            {
-                "topology": topology,
-                "tables": workload["tables"],
-                "output_rows": len(baseline),
-                "raw_timings_s": raw,
-                "dp_s": round(dp_s, 4),
-                "yannakakis_s": round(yann_s, 4),
-                "speedup": round(dp_s / yann_s, 2) if yann_s > 0 else None,
-                "bag_equal": True,
-            }
-        )
-    return {"rounds": rounds, "warmup_rounds": warmup_rounds, "workloads": results}
 
 
 def _wcoj_workloads(smoke: bool):
@@ -695,10 +609,10 @@ def measure_backends(
 ) -> Dict[str, object]:
     """Local engine vs hinted and native execution on the SQL backends.
 
-    Reuses the chain and star workloads from the Yannakakis bench and the
-    triangle workload from the WCOJ bench — all three were built so join
-    *order* matters.  Per workload the optimizer runs once (fast paths
-    off, so ``chosen`` is the binary DP tree every backend can follow)
+    Reuses the needle chain and star workloads and the triangle workload
+    from the WCOJ bench — all three were built so join *order* matters.
+    Per workload the optimizer runs once (fast path off, so ``chosen`` is
+    the binary DP tree every backend can follow)
     and then each cell runs the same query:
 
     * ``local``            — the DP tree on this library's engine;
@@ -717,9 +631,9 @@ def measure_backends(
     from repro.backends.base import available_backends, create_backend
     from repro.engine.executor import execute as engine_execute
     from repro.optimizer.pipeline import optimize_query
-    from repro.util.fastpath import wcoj_mode, yannakakis_mode
+    from repro.util.fastpath import wcoj_mode
 
-    workloads = _yannakakis_workloads(seed, smoke)  # chain, star
+    workloads = _needle_workloads(seed, smoke)  # chain, star
     workloads.append(_wcoj_workloads(smoke)[0])  # triangle
     names = [n for n in available_backends() if n != "local"]
 
@@ -727,7 +641,7 @@ def measure_backends(
     for workload in workloads:
         topology, storage = workload["topology"], workload["storage"]
         query = workload["query"]
-        with yannakakis_mode(False), wcoj_mode(False):
+        with wcoj_mode(False):
             pipeline = optimize_query(query, storage, use_cache=False)
         chosen, fingerprint = pipeline.chosen, pipeline.fingerprint
 
@@ -817,13 +731,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "path on the headline hash join; default output becomes BENCH_PR6.json",
     )
     parser.add_argument(
-        "--yannakakis-bench",
-        action="store_true",
-        help="also measure the acyclic fast path (GYO join tree + full reducer) "
-        "against the binary DP plan on chain and star workloads; default "
-        "output becomes BENCH_PR7.json",
-    )
-    parser.add_argument(
         "--wcoj-bench",
         action="store_true",
         help="also measure the cyclic fast path (AGM-gated Leapfrog Triejoin) "
@@ -846,8 +753,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.output = REPO_ROOT / "BENCH_PR10.json"
         elif args.wcoj_bench:
             args.output = REPO_ROOT / "BENCH_PR8.json"
-        elif args.yannakakis_bench:
-            args.output = REPO_ROOT / "BENCH_PR7.json"
         elif args.batch_bench:
             args.output = REPO_ROOT / "BENCH_PR6.json"
         else:
@@ -924,16 +829,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"  batch + rows:      {section['batch_rows_s']:.4f}s "
             f"({section['speedup_batch_rows']}x)"
         )
-    if args.yannakakis_bench:
-        print("\nmeasuring the acyclic fast path (full reducer) vs the DP plan...")
-        section = measure_yannakakis(seed=args.seed, smoke=args.smoke)
-        report["yannakakis"] = section
-        for entry in section["workloads"]:
-            print(
-                f"  {entry['topology']:6s} dp {entry['dp_s']:.4f}s / "
-                f"yannakakis {entry['yannakakis_s']:.4f}s  ({entry['speedup']}x, "
-                f"{entry['output_rows']} rows out)"
-            )
     if args.wcoj_bench:
         print("\nmeasuring the cyclic fast path (Leapfrog Triejoin) vs the DP plan...")
         section = measure_wcoj(smoke=args.smoke)

@@ -113,7 +113,8 @@ def aggregate_bench(doc: Dict[str, Any]) -> Dict[str, KeyStats]:
 
     Reports carrying a ``batch`` section (BENCH_PR6) also contribute its
     row-at-a-time baseline and vectorized cells as
-    ``batch::`` keys, a ``yannakakis`` section (BENCH_PR7) contributes
+    ``batch::`` keys, a ``yannakakis`` section (the committed BENCH_PR7,
+    kept as history after the reducer was removed) contributes
     per-topology DP and semijoin-reducer cells as ``yannakakis::`` keys,
     a ``wcoj`` section (BENCH_PR8) contributes per-topology DP and
     Leapfrog Triejoin cells as ``wcoj::`` keys, and a ``backends``

@@ -34,18 +34,6 @@ _batch: bool = os.environ.get("REPRO_BATCH", "").lower() not in (
     "no",
 )
 
-#: The acyclic fast path (GYO + Yannakakis semijoin reduction) is
-#: opt-out: ``REPRO_YANNAKAKIS=0`` pins the optimizer to the binary-tree
-#: DP plans.  Default on — the optimizer only takes the fast path when
-#: the cost model favors it and the safety certificate holds, and the
-#: toggle exists so the conformance suite can prove the DP fallback is
-#: byte-identical when the path is disabled.
-_yannakakis: bool = os.environ.get("REPRO_YANNAKAKIS", "").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
 #: The cyclic fast path (sorted tries + Leapfrog Triejoin) is opt-out:
 #: ``REPRO_WCOJ=0`` pins cyclic join cores to the binary-tree DP plans.
 #: Default on — the optimizer only dispatches to the worst-case optimal
@@ -72,7 +60,6 @@ _batch_size: int = 1024
 import threading as _threading
 
 _batch_tls = _threading.local()
-_yannakakis_tls = _threading.local()
 _wcoj_tls = _threading.local()
 
 
@@ -108,40 +95,6 @@ def batch_mode(enabled: bool):
     stack = getattr(_batch_tls, "stack", None)
     if stack is None:
         stack = _batch_tls.stack = []
-    stack.append(bool(enabled))
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def yannakakis_enabled() -> bool:
-    """Is the acyclic Yannakakis fast path currently eligible?
-
-    The innermost :func:`yannakakis_mode` override on *this thread*
-    wins; otherwise the process-wide default (``REPRO_YANNAKAKIS``,
-    default on) applies.
-    """
-    stack = getattr(_yannakakis_tls, "stack", None)
-    if stack:
-        return stack[-1]
-    return _yannakakis
-
-
-def set_yannakakis(enabled: bool) -> bool:
-    """Set the process-wide Yannakakis default; returns the previous one."""
-    global _yannakakis
-    previous = _yannakakis
-    _yannakakis = bool(enabled)
-    return previous
-
-
-@contextmanager
-def yannakakis_mode(enabled: bool):
-    """Force the acyclic fast path on (True) or off (False) for this thread."""
-    stack = getattr(_yannakakis_tls, "stack", None)
-    if stack is None:
-        stack = _yannakakis_tls.stack = []
     stack.append(bool(enabled))
     try:
         yield

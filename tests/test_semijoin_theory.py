@@ -116,7 +116,7 @@ class TestAgreement:
 
 # ---------------------------------------------------------------------------
 # Semijoin-pushdown legality on the paper's named graphs (the identity
-# layer the Yannakakis full reducer stands on).  Expressions may not
+# layer any semijoin full reducer stands on).  Expressions may not
 # repeat a relation variable, so the reduced forms are evaluated with the
 # algebra operators directly.
 # ---------------------------------------------------------------------------
@@ -148,10 +148,10 @@ def db_of(rows_by_rel):
 class TestPushdownLegalityExample1:
     """Example 1's graph R1 − R2 → R3: which semijoin reductions are legal.
 
-    These are exactly the reducer passes :mod:`repro.engine.yannakakis`
-    runs (and refuses to run) on this shape: both directions of a join
-    edge, the top-down pass over an outerjoin edge, but never the
-    bottom-up reduction of a preserved side by its null-supplied child.
+    These are exactly the passes a semijoin full reducer may run (and
+    must refuse) on this shape: both directions of a join edge, the
+    top-down pass over an outerjoin edge, but never the bottom-up
+    reduction of a preserved side by its null-supplied child.
     """
 
     QUERY = oj(jn("R1", "R2", P12), "R3", P23)

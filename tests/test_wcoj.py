@@ -1,7 +1,6 @@
 """The cyclic fast path end to end: operator, dispatch, tier, toggle.
 
-Four layers of assurance, mirroring test_yannakakis.py for the acyclic
-path:
+Five layers of assurance:
 
 * known-answer pattern counts (triangle, 4-clique) against an
   independent brute-force recomputation, the SQLite oracle, and the
@@ -11,6 +10,8 @@ path:
 * the optimizer's AGM cost gate (dispatches on cyclic cores with real
   data, declines acyclic graphs, outerjoins, and the collapsed-class
   ``cycle`` family);
+* one dispatch: ``QueryService`` and ``optimize_and_run`` both run the
+  Leapfrog plan the optimizer chose, under the query's cancel token;
 * a ``REPRO_WCOJ=0`` subprocess proving the DP fallback is
   byte-identical when the path is off.
 """
@@ -49,7 +50,10 @@ from repro.engine.storage import Storage
 from repro.engine.wcoj import LeapfrogTriejoinOp, build_wcoj_plan
 from repro.optimizer.pipeline import optimize_and_run, optimize_query
 from repro.optimizer.plancache import PlanCache
-from repro.util.errors import PlanningError
+from repro.service import QueryService
+from repro.tools.benchrunner import _wcoj_workloads
+from repro.util.cancel import CancelToken
+from repro.util.errors import PlanningError, QueryCancelledError
 from repro.util.fastpath import wcoj_mode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -268,7 +272,7 @@ class TestOptimizerDispatch:
         expr = sample_implementing_tree(scenario.graph, rng)
         db = random_database(scenario.schemas, seed=3, max_rows=20)
         result = optimize_query(expr, Storage.from_database(db), use_cache=False)
-        assert result.strategy in ("dp", "yannakakis")
+        assert result.strategy == "dp"
         assert result.wcoj_spec is None
 
     def test_collapsed_class_cycle_stays_off_wcoj(self):
@@ -324,6 +328,33 @@ class TestOptimizerDispatch:
         )
         result = optimize_query(expr, Storage.from_database(db), use_cache=False)
         assert result.strategy == "dp"
+
+
+class TestOneDispatch:
+    """What the optimizer chose is what runs, on every entry point."""
+
+    @pytest.mark.parametrize("topology", ["triangle", "clique4"])
+    def test_service_runs_leapfrog_when_it_reports_wcoj(self, topology):
+        workload = {w["topology"]: w for w in _wcoj_workloads(smoke=True)}[topology]
+        storage, query = workload["storage"], workload["query"]
+        with QueryService(storage, workers=1, plan_cache=PlanCache(4)) as service:
+            outcome = service.execute(query)
+        assert outcome.ok, outcome.error
+        assert outcome.pipeline.strategy == "wcoj"
+        assert isinstance(outcome.execution.plan, LeapfrogTriejoinOp)
+        _result, direct = optimize_and_run(query, storage, use_cache=False)
+        assert bag_equal(outcome.relation, direct.relation)
+
+    def test_optimize_and_run_honours_a_cancelled_token(self):
+        workload = _wcoj_workloads(smoke=True)[0]
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(QueryCancelledError):
+            optimize_and_run(
+                workload["query"], workload["storage"], use_cache=False, cancel=token
+            )
+        result = optimize_query(workload["query"], workload["storage"], use_cache=False)
+        assert result.strategy == "wcoj"
 
 
 class TestExplain:
